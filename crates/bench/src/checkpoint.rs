@@ -7,11 +7,11 @@
 //! skips everything already present, so a batch killed halfway (or one
 //! with a crashing figure) does not redo hours of simulation.
 //!
-//! The format uses no external dependencies: the writer escapes the
-//! JSON string subset it needs, and the reader parses exactly that
-//! shape (an object whose keys and values are strings), rejecting
-//! anything else. Checkpoints written by a different build are safe to
-//! load — worst case the markdown is regenerated.
+//! The file is read and written with the workspace JSON codec
+//! (`dcfb_errors::json`); the reader accepts exactly one shape, an
+//! object whose keys and values are strings, and rejects anything
+//! else. Checkpoints written by a different build are safe to load —
+//! worst case the markdown is regenerated.
 //!
 //! Mirroring the trace v2 strict/lenient split, there are two readers:
 //! [`Checkpoint::from_json`] rejects any damage (the safe default for
@@ -20,6 +20,7 @@
 //! problem — so a checkpoint truncated by a mid-write kill costs only
 //! the torn tail entry, not the whole batch's progress.
 
+use dcfb_errors::json::{self, JsonValue};
 use dcfb_errors::DcfbError;
 use std::path::{Path, PathBuf};
 
@@ -94,9 +95,9 @@ impl Checkpoint {
         let mut out = String::from("{\n");
         for (i, (k, v)) in self.entries.iter().enumerate() {
             out.push_str("  ");
-            escape_into(k, &mut out);
+            json::write_escaped(&mut out, k);
             out.push_str(": ");
-            escape_into(v, &mut out);
+            json::write_escaped(&mut out, v);
             if i + 1 < self.entries.len() {
                 out.push(',');
             }
@@ -113,7 +114,10 @@ impl Checkpoint {
     /// Returns [`DcfbError::Config`] naming the byte offset of the
     /// first syntax problem.
     pub fn from_json(text: &str) -> Result<Self, DcfbError> {
-        Parser::new(text).object()
+        match Checkpoint::parse(text) {
+            (cp, None) => Ok(cp),
+            (_, Some(e)) => Err(e),
+        }
     }
 
     /// Parses the flat JSON object format leniently: every complete
@@ -121,10 +125,26 @@ impl Checkpoint {
     /// salvaged. Returns the salvaged checkpoint plus the one-line
     /// reason parsing stopped early (`None` for an undamaged file).
     pub fn from_json_lenient(text: &str) -> (Self, Option<String>) {
-        let mut p = Parser::new(text);
+        let (cp, err) = Checkpoint::parse(text);
+        (cp, err.map(|e| e.to_string()))
+    }
+
+    /// The entries read before the first problem, plus that problem.
+    /// Entries stop at the first syntax error or non-string value.
+    fn parse(text: &str) -> (Self, Option<DcfbError>) {
+        let (fields, err) = json::parse_object_prefix(text);
         let mut cp = Checkpoint::new();
-        let reason = p.object_into(&mut cp).err().map(|e| e.to_string());
-        (cp, reason)
+        for (key, value) in fields {
+            let JsonValue::Str(markdown) = value else {
+                let what = format!("malformed checkpoint JSON: value of {key:?} is not a string");
+                return (cp, Some(DcfbError::Config(what)));
+            };
+            cp.put(&key, &markdown);
+        }
+        (
+            cp,
+            err.map(|e| DcfbError::Config(format!("malformed checkpoint JSON {e}"))),
+        )
     }
 
     /// Writes the checkpoint to `path`, creating parent directories.
@@ -180,171 +200,6 @@ impl Checkpoint {
             Err(e) => return Err(DcfbError::io(path.display().to_string(), &e)),
         };
         Ok(Checkpoint::from_json_lenient(&text))
-    }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A parser for exactly the object-of-strings subset this module
-/// writes.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> DcfbError {
-        DcfbError::Config(format!(
-            "malformed checkpoint JSON at byte {}: {what}",
-            self.pos
-        ))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\n' || b == b'\r' || b == b'\t' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), DcfbError> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn object(&mut self) -> Result<Checkpoint, DcfbError> {
-        let mut cp = Checkpoint::new();
-        self.object_into(&mut cp)?;
-        Ok(cp)
-    }
-
-    /// Parses the object into `cp` entry by entry. Each complete
-    /// `"key": "value"` pair is recorded before the separator after it
-    /// is examined, so on error `cp` holds exactly the salvageable
-    /// prefix — the strict path discards it, the lenient path keeps it.
-    fn object_into(&mut self, cp: &mut Checkpoint) -> Result<(), DcfbError> {
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                let key = self.string()?;
-                self.expect(b':')?;
-                let value = self.string()?;
-                cp.put(&key, &value);
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing data"));
-        }
-        Ok(())
-    }
-
-    fn string(&mut self) -> Result<String, DcfbError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&e) = self.bytes.get(self.pos) else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            let c = char::from_u32(hex)
-                                .ok_or_else(|| self.err("bad \\u code point"))?;
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                b => {
-                    // Re-decode UTF-8 continuation bytes as written.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| self.err("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 
@@ -426,6 +281,14 @@ mod tests {
         let (got, reason) = Checkpoint::from_json_lenient(&json);
         assert_eq!(got, cp);
         assert!(reason.is_none());
+    }
+
+    #[test]
+    fn duplicates_keep_the_last_value_and_lone_surrogates_decode() {
+        let cp = Checkpoint::from_json(r#"{"a": "1", "b": "\ud800", "a": "2"}"#).unwrap();
+        assert_eq!(cp.len(), 2);
+        assert_eq!(cp.get("a"), Some("2"));
+        assert_eq!(cp.get("b"), Some("\u{FFFD}"));
     }
 
     #[test]

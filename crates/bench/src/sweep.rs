@@ -16,6 +16,7 @@
 //! can compare against the recorded trajectory.
 
 use crate::runs::{self, measure_instrs, warmup_instrs, workloads};
+use dcfb_errors::json::{self, JsonValue};
 use dcfb_errors::DcfbError;
 use dcfb_sim::{
     run_resolved, run_sharded, run_sharded_resolved, ShardOptions, SimConfig, SimReport,
@@ -539,7 +540,7 @@ impl BenchSweepReport {
             }
             out.push('\n');
         };
-        put("schema", format!("\"{}\"", self.schema), false);
+        put("schema", quoted(&self.schema), false);
         put("host_cores", self.host_cores.to_string(), false);
         put("jobs", self.jobs.to_string(), false);
         put("workloads", self.workloads.to_string(), false);
@@ -578,7 +579,7 @@ impl BenchSweepReport {
         );
         put(
             "telemetry_overhead_measurement",
-            format!("\"{}\"", self.telemetry_overhead_measurement),
+            quoted(&self.telemetry_overhead_measurement),
             false,
         );
         put(
@@ -608,7 +609,7 @@ impl BenchSweepReport {
             self.shard_digest_identity.to_string(),
             false,
         );
-        put("jobs_warning", format!("\"{}\"", self.jobs_warning), false);
+        put("jobs_warning", quoted(&self.jobs_warning), false);
         put(
             "serve_submit_jobs",
             self.serve_submit_jobs.to_string(),
@@ -632,10 +633,10 @@ impl BenchSweepReport {
         );
         put(
             "workload_source_kinds",
-            format!("\"{}\"", self.workload_source_kinds),
+            quoted(&self.workload_source_kinds),
             false,
         );
-        put("mix_workload", format!("\"{}\"", self.mix_workload), false);
+        put("mix_workload", quoted(&self.mix_workload), false);
         put(
             "mix_single_run_ips",
             format_f64(self.mix_single_run_ips),
@@ -657,48 +658,13 @@ impl BenchSweepReport {
     /// [`DcfbError::Config`] on malformed JSON or missing/mistyped
     /// fields.
     pub fn from_json(text: &str) -> Result<Self, DcfbError> {
-        let fields = parse_flat_object(text)?;
-        let get = |key: &str| -> Result<&JsonScalar, DcfbError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| {
-                    DcfbError::Config(format!("BENCH_sweep.json: missing field {key:?}"))
-                })
-        };
-        let u64_field = |key: &str| -> Result<u64, DcfbError> {
-            match get(key)? {
-                JsonScalar::Number(n) if n.fract() == 0.0 && *n >= 0.0 => Ok(*n as u64),
-                other => Err(DcfbError::Config(format!(
-                    "BENCH_sweep.json: field {key:?} must be an unsigned integer, got {other:?}"
-                ))),
-            }
-        };
-        let f64_field = |key: &str| -> Result<f64, DcfbError> {
-            match get(key)? {
-                JsonScalar::Number(n) => Ok(*n),
-                other => Err(DcfbError::Config(format!(
-                    "BENCH_sweep.json: field {key:?} must be a number, got {other:?}"
-                ))),
-            }
-        };
-        let string_field = |key: &str| -> Result<String, DcfbError> {
-            match get(key)? {
-                JsonScalar::String(s) => Ok(s.clone()),
-                other => Err(DcfbError::Config(format!(
-                    "BENCH_sweep.json: field {key:?} must be a string, got {other:?}"
-                ))),
-            }
-        };
-        let bool_field = |key: &str| -> Result<bool, DcfbError> {
-            match get(key)? {
-                JsonScalar::Bool(b) => Ok(*b),
-                other => Err(DcfbError::Config(format!(
-                    "BENCH_sweep.json: field {key:?} must be a boolean, got {other:?}"
-                ))),
-            }
-        };
+        let fields = json::parse_object(text)
+            .map_err(|e| DcfbError::Config(format!("malformed bench-sweep JSON {e}")))?;
+        let u64_field = |key| typed_field(&fields, key, "an unsigned integer", JsonValue::as_u64);
+        let f64_field = |key| typed_field(&fields, key, "a number", JsonValue::as_f64);
+        let string_field =
+            |key| typed_field(&fields, key, "a string", |v| v.as_str().map(str::to_owned));
+        let bool_field = |key| typed_field(&fields, key, "a boolean", JsonValue::as_bool);
         let schema = string_field("schema")?;
         let telemetry_overhead_measurement = string_field("telemetry_overhead_measurement")?;
         let deterministic = bool_field("deterministic")?;
@@ -887,6 +853,29 @@ impl BenchSweepReport {
     }
 }
 
+/// `s` as an escaped JSON string literal.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    json::write_escaped(&mut out, s);
+    out
+}
+
+/// The `BENCH_sweep.json` field `key`, converted by `cast`.
+fn typed_field<T>(
+    fields: &[(String, JsonValue)],
+    key: &str,
+    kind: &str,
+    cast: impl Fn(&JsonValue) -> Option<T>,
+) -> Result<T, DcfbError> {
+    let value = json::field(fields, key)
+        .ok_or_else(|| DcfbError::Config(format!("BENCH_sweep.json: missing field {key:?}")))?;
+    cast(value).ok_or_else(|| {
+        DcfbError::Config(format!(
+            "BENCH_sweep.json: field {key:?} must be {kind}, got {value:?}"
+        ))
+    })
+}
+
 fn format_f64(x: f64) -> String {
     // Rust's shortest-roundtrip Display is JSON-compatible for finite
     // values; timings are clamped positive before they get here.
@@ -899,134 +888,6 @@ fn format_f64(x: f64) -> String {
         }
     } else {
         "0.0".to_owned()
-    }
-}
-
-/// One scalar JSON value in the flat `BENCH_sweep.json` object.
-#[derive(Clone, Debug, PartialEq)]
-enum JsonScalar {
-    String(String),
-    Number(f64),
-    Bool(bool),
-}
-
-/// Parses a flat JSON object of scalar values (string, number, true,
-/// false) — exactly the shape [`BenchSweepReport::to_json`] writes.
-fn parse_flat_object(text: &str) -> Result<Vec<(String, JsonScalar)>, DcfbError> {
-    let mut p = Scanner {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.expect(b'{')?;
-    let mut out = Vec::new();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            let key = p.string()?;
-            p.expect(b':')?;
-            let value = p.scalar()?;
-            out.push((key, value));
-            match p.peek() {
-                Some(b',') => p.pos += 1,
-                Some(b'}') => {
-                    p.pos += 1;
-                    break;
-                }
-                _ => return Err(p.err("expected ',' or '}'")),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data"));
-    }
-    Ok(out)
-}
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Scanner<'_> {
-    fn err(&self, what: &str) -> DcfbError {
-        DcfbError::Config(format!(
-            "malformed bench-sweep JSON at byte {}: {what}",
-            self.pos
-        ))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\n' | b'\r' | b'\t') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), DcfbError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, DcfbError> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8"))?;
-                if s.contains('\\') {
-                    return Err(self.err("escapes are not used in bench-sweep JSON"));
-                }
-                self.pos += 1;
-                return Ok(s.to_owned());
-            }
-            self.pos += 1;
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn scalar(&mut self) -> Result<JsonScalar, DcfbError> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonScalar::String(self.string()?)),
-            Some(b't') if self.bytes[self.pos..].starts_with(b"true") => {
-                self.pos += 4;
-                Ok(JsonScalar::Bool(true))
-            }
-            Some(b'f') if self.bytes[self.pos..].starts_with(b"false") => {
-                self.pos += 5;
-                Ok(JsonScalar::Bool(false))
-            }
-            Some(b'-' | b'0'..=b'9') => {
-                let start = self.pos;
-                while let Some(&b) = self.bytes.get(self.pos) {
-                    if matches!(b, b'0'..=b'9' | b'.' | b'-' | b'+' | b'e' | b'E') {
-                        self.pos += 1;
-                    } else {
-                        break;
-                    }
-                }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .map(JsonScalar::Number)
-                    .ok_or_else(|| self.err("bad number"))
-            }
-            _ => Err(self.err("expected a scalar value")),
-        }
     }
 }
 
@@ -1130,6 +991,15 @@ mod tests {
         let back = BenchSweepReport::from_json(&json).unwrap();
         assert_eq!(back, r);
         back.validate().unwrap();
+    }
+
+    #[test]
+    fn bench_sweep_strings_are_escaped() {
+        let mut r = sample_report();
+        r.jobs_warning = "a \"quoted\" warning\non two lines \\ done".to_owned();
+        let json = r.to_json();
+        assert!(json.contains(r#""jobs_warning": "a \"quoted\" warning\non two lines \\ done""#));
+        assert_eq!(BenchSweepReport::from_json(&json).unwrap(), r);
     }
 
     #[test]
@@ -1272,5 +1142,20 @@ mod tests {
         // Missing fields are typed errors too.
         let err = BenchSweepReport::from_json("{\"schema\": \"dcfb-bench-sweep-v1\"}").unwrap_err();
         assert!(matches!(err, DcfbError::Config(_)));
+        // Syntax errors name the byte offset; integer fields reject
+        // fractions and negatives.
+        let err = BenchSweepReport::from_json("{\"schema\": }").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("malformed bench-sweep JSON at byte 11"),
+            "{err}"
+        );
+        let mut text = sample_report().to_json();
+        text = text.replace("\"jobs\": 4,", "\"jobs\": -4,");
+        let err = BenchSweepReport::from_json(&text).unwrap_err();
+        assert!(
+            err.to_string().contains("must be an unsigned integer"),
+            "{err}"
+        );
     }
 }

@@ -5,8 +5,8 @@
 //! `std::process::exit` or panics on bad input.
 
 use crate::args::Cli;
-use crate::json::JsonObject;
 use dcfb_cache::CacheConfig;
+use dcfb_errors::json::ObjectWriter;
 use dcfb_errors::DcfbError;
 use dcfb_frontend::ShotgunBtbConfig;
 use dcfb_sim::Simulator;
@@ -89,7 +89,7 @@ pub fn run(cli: &Cli) -> Result<(), DcfbError> {
         run_resolved(&resolved, cfg, cli.seed)?
     };
     if cli.json {
-        println!("{}", report_json(&r, Some(&base)).render());
+        println!("{}", report_json(&r, Some(&base)));
         return Ok(());
     }
     print_report(&r, &base);
@@ -403,37 +403,37 @@ fn print_report(r: &SimReport, base: &SimReport) {
     }
 }
 
-fn report_json(r: &SimReport, base: Option<&SimReport>) -> JsonObject {
-    let mut o = JsonObject::new();
-    o.string("workload", &r.workload)
-        .string("method", &r.method)
-        .int("cycles", r.cycles)
-        .int("instructions", r.instrs)
-        .float("ipc", r.ipc())
-        .float("l1i_mpki", r.l1i_mpki())
-        .int("seq_misses", r.seq_misses)
-        .int("disc_misses", r.disc_misses)
-        .int("uncovered_misses", r.uncovered_misses)
-        .int("late_prefetches", r.late_prefetches)
-        .int("dropped_prefetches", r.dropped_prefetches)
-        .int("buffer_hits", r.buffer_hits)
-        .float("cmal", r.cmal())
-        .int("stall_l1i", r.stall_l1i)
-        .int("stall_btb", r.stall_btb)
-        .int("stall_redirect", r.stall_redirect)
-        .int("stall_empty_ftq", r.stall_empty_ftq)
-        .int("external_requests", r.external_requests)
-        .int("cache_lookups", r.cache_lookups)
-        .float("branch_accuracy", r.branch_accuracy)
-        .int("storage_bits", r.storage_bits);
+fn report_json(r: &SimReport, base: Option<&SimReport>) -> String {
+    let mut o = ObjectWriter::new();
+    o.str_field("workload", &r.workload)
+        .str_field("method", &r.method)
+        .u64_field("cycles", r.cycles)
+        .u64_field("instructions", r.instrs)
+        .f64_field("ipc", r.ipc())
+        .f64_field("l1i_mpki", r.l1i_mpki())
+        .u64_field("seq_misses", r.seq_misses)
+        .u64_field("disc_misses", r.disc_misses)
+        .u64_field("uncovered_misses", r.uncovered_misses)
+        .u64_field("late_prefetches", r.late_prefetches)
+        .u64_field("dropped_prefetches", r.dropped_prefetches)
+        .u64_field("buffer_hits", r.buffer_hits)
+        .f64_field("cmal", r.cmal())
+        .u64_field("stall_l1i", r.stall_l1i)
+        .u64_field("stall_btb", r.stall_btb)
+        .u64_field("stall_redirect", r.stall_redirect)
+        .u64_field("stall_empty_ftq", r.stall_empty_ftq)
+        .u64_field("external_requests", r.external_requests)
+        .u64_field("cache_lookups", r.cache_lookups)
+        .f64_field("branch_accuracy", r.branch_accuracy)
+        .u64_field("storage_bits", r.storage_bits);
     if let Some(b) = base {
-        o.float("speedup", r.speedup_over(b))
-            .float("miss_coverage", r.miss_coverage_over(b))
-            .float("fscr", r.fscr_over(b))
-            .float("bandwidth_rel", r.bandwidth_over(b))
-            .float("lookups_rel", r.lookups_over(b));
+        o.f64_field("speedup", r.speedup_over(b))
+            .f64_field("miss_coverage", r.miss_coverage_over(b))
+            .f64_field("fscr", r.fscr_over(b))
+            .f64_field("bandwidth_rel", r.bandwidth_over(b))
+            .f64_field("lookups_rel", r.lookups_over(b));
     }
-    o
+    o.finish()
 }
 
 /// `dcfb record`
@@ -570,7 +570,7 @@ pub fn replay(cli: &Cli) -> Result<(), DcfbError> {
     let r = run_one(&cli.method)?;
     if cli.json {
         // Reuse the same JSON shape as `run`.
-        println!("{}", report_json(&r, Some(&base)).render());
+        println!("{}", report_json(&r, Some(&base)));
         return Ok(());
     }
     println!(

@@ -30,7 +30,6 @@
 
 mod args;
 mod commands;
-mod json;
 
 use args::Cli;
 use dcfb_errors::{DcfbError, EXIT_USAGE};

@@ -7,7 +7,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use dcfb_telemetry::{JsonValue, MetricsDoc, METRICS_SCHEMA, SERIES_COLUMNS};
+use dcfb_errors::json::JsonValue;
+use dcfb_telemetry::{MetricsDoc, METRICS_SCHEMA, SERIES_COLUMNS};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 

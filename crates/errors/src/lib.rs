@@ -1,7 +1,8 @@
 //! # dcfb-errors
 //!
 //! The typed error hierarchy shared by every crate in the workspace,
-//! plus the process exit-code policy for the `dcfb` CLI.
+//! plus the process exit-code policy for the `dcfb` CLI and the
+//! workspace's one JSON codec ([`json`]).
 //!
 //! Design rules (see DESIGN.md, "Trace format v2 & failure handling"):
 //!
@@ -24,6 +25,8 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+
+pub mod json;
 
 /// Exit code for usage errors (bad flags, missing arguments).
 pub const EXIT_USAGE: i32 = 2;

@@ -1,8 +1,7 @@
 //! The blocking client: one `TcpStream` per request (the server speaks
 //! `Connection: close`), hand-rolled HTTP/1.1 framing, typed replies.
 
-use crate::json;
-use crate::wire::{JobSpec, ResultReply, StatsReply, StatusReply, SubmitReply};
+use crate::wire::{self, JobSpec, ResultReply, StatsReply, StatusReply, SubmitReply};
 use dcfb_errors::DcfbError;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -179,9 +178,9 @@ impl Client {
         if (200..300).contains(&status) {
             Ok(reply_body)
         } else {
-            let detail = json::parse_object(&reply_body)
+            let detail = wire::parse_object(&reply_body)
                 .ok()
-                .and_then(|obj| json::opt_str(&obj, "error"))
+                .and_then(|obj| wire::opt_str(&obj, "error"))
                 .unwrap_or_else(|| reply_body.trim().to_owned());
             Err(DcfbError::protocol(format!(
                 "{method} {path}: HTTP {status}: {detail}"

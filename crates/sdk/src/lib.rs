@@ -4,8 +4,8 @@
 //! wire protocol both sides share.
 //!
 //! The protocol is minimal HTTP/1.1 with flat-JSON bodies — no
-//! external HTTP or JSON dependency, hand-rolled the way
-//! `crates/trace` hand-rolls its binary format. A client submits a
+//! external HTTP or JSON dependency: the HTTP framing is hand-rolled
+//! here and the JSON codec is `dcfb_errors::json`. A client submits a
 //! [`JobSpec`], polls or long-polls its progress, and fetches the
 //! rendered `SimReport` (with its digest for integrity checking)
 //! once the job is done:
@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod json;
 pub mod wire;
 
 pub use client::Client;

@@ -6,9 +6,57 @@
 //! (`workload|method|warmup|measure|seed`) — the same string is the
 //! memoization cache key, so identical submissions coalesce no matter
 //! which client sent them.
+//!
+//! Bodies are flat JSON objects read and written with
+//! `dcfb_errors::json`; the field helpers below turn a malformed body
+//! or a missing or mistyped field into [`DcfbError::Protocol`], so a
+//! malformed peer never panics this side of the connection.
 
-use crate::json::{self, JsonObject, ObjectWriter};
+use dcfb_errors::json::{self, JsonValue, ObjectWriter};
 use dcfb_errors::DcfbError;
+
+/// Parses one flat JSON object off the wire.
+///
+/// # Errors
+///
+/// [`DcfbError::Protocol`] naming the byte offset of the first problem.
+pub fn parse_object(text: &str) -> Result<json::Object, DcfbError> {
+    json::parse_object(text).map_err(|e| DcfbError::protocol(format!("bad JSON {e}")))
+}
+
+/// Required string field, or a protocol error naming the key.
+pub fn want_str(obj: &[(String, JsonValue)], key: &str) -> Result<String, DcfbError> {
+    opt_str(obj, key).ok_or_else(|| DcfbError::protocol(format!("missing string field {key:?}")))
+}
+
+/// Required unsigned-integer field, or a protocol error naming the key.
+/// Negative and over-range numbers do not qualify.
+pub fn want_u64(obj: &[(String, JsonValue)], key: &str) -> Result<u64, DcfbError> {
+    json::field(obj, key)
+        .and_then(JsonValue::as_u64)
+        .ok_or_else(|| DcfbError::protocol(format!("missing integer field {key:?}")))
+}
+
+/// Optional boolean field, defaulting to `false`.
+pub fn opt_bool(obj: &[(String, JsonValue)], key: &str) -> bool {
+    json::field(obj, key)
+        .and_then(JsonValue::as_bool)
+        .unwrap_or(false)
+}
+
+/// Optional unsigned-integer field, defaulting to zero.
+pub fn opt_u64(obj: &[(String, JsonValue)], key: &str) -> u64 {
+    json::field(obj, key)
+        .and_then(JsonValue::as_u64)
+        .unwrap_or(0)
+}
+
+/// Optional string field; `None` when absent or not a string.
+pub fn opt_str(obj: &[(String, JsonValue)], key: &str) -> Option<String> {
+    json::field(obj, key)
+        .and_then(JsonValue::as_str)
+        .map(str::to_owned)
+}
 
 /// Everything that determines a simulation's result: the workload, the
 /// registry method, the window, and the trace seed.
@@ -64,7 +112,7 @@ impl JobSpec {
     /// Returns [`DcfbError::Protocol`] for malformed JSON or missing
     /// fields.
     pub fn from_json(text: &str) -> Result<Self, DcfbError> {
-        let obj = json::parse_object(text)?;
+        let obj = parse_object(text)?;
         JobSpec::from_object(&obj)
     }
 
@@ -73,13 +121,13 @@ impl JobSpec {
     /// # Errors
     ///
     /// Returns [`DcfbError::Protocol`] naming the first missing field.
-    pub fn from_object(obj: &JsonObject) -> Result<Self, DcfbError> {
+    pub fn from_object(obj: &[(String, JsonValue)]) -> Result<Self, DcfbError> {
         Ok(JobSpec {
-            workload: json::want_str(obj, "workload")?,
-            method: json::want_str(obj, "method")?,
-            warmup: json::want_u64(obj, "warmup")?,
-            measure: json::want_u64(obj, "measure")?,
-            seed: json::want_u64(obj, "seed")?,
+            workload: want_str(obj, "workload")?,
+            method: want_str(obj, "method")?,
+            warmup: want_u64(obj, "warmup")?,
+            measure: want_u64(obj, "measure")?,
+            seed: want_u64(obj, "seed")?,
         })
     }
 }
@@ -150,12 +198,12 @@ impl SubmitReply {
     ///
     /// Returns [`DcfbError::Protocol`] for malformed JSON or fields.
     pub fn from_json(text: &str) -> Result<Self, DcfbError> {
-        let obj = json::parse_object(text)?;
+        let obj = parse_object(text)?;
         Ok(SubmitReply {
-            job: json::want_str(&obj, "job")?,
-            state: JobState::parse(&json::want_str(&obj, "state")?)?,
-            cached: json::opt_bool(&obj, "cached"),
-            coalesced: json::opt_bool(&obj, "coalesced"),
+            job: want_str(&obj, "job")?,
+            state: JobState::parse(&want_str(&obj, "state")?)?,
+            cached: opt_bool(&obj, "cached"),
+            coalesced: opt_bool(&obj, "coalesced"),
         })
     }
 }
@@ -184,13 +232,13 @@ impl StatusReply {
     ///
     /// Returns [`DcfbError::Protocol`] for malformed JSON or fields.
     pub fn from_json(text: &str) -> Result<Self, DcfbError> {
-        let obj = json::parse_object(text)?;
+        let obj = parse_object(text)?;
         Ok(StatusReply {
-            job: json::want_str(&obj, "job")?,
-            state: JobState::parse(&json::want_str(&obj, "state")?)?,
-            instrs: json::opt_u64(&obj, "instrs"),
-            phase: json::want_str(&obj, "phase")?,
-            error: json::opt_str(&obj, "error"),
+            job: want_str(&obj, "job")?,
+            state: JobState::parse(&want_str(&obj, "state")?)?,
+            instrs: opt_u64(&obj, "instrs"),
+            phase: want_str(&obj, "phase")?,
+            error: opt_str(&obj, "error"),
         })
     }
 }
@@ -214,11 +262,11 @@ impl ResultReply {
     ///
     /// Returns [`DcfbError::Protocol`] for malformed JSON or fields.
     pub fn from_json(text: &str) -> Result<Self, DcfbError> {
-        let obj = json::parse_object(text)?;
+        let obj = parse_object(text)?;
         Ok(ResultReply {
-            job: json::want_str(&obj, "job")?,
-            digest: json::want_str(&obj, "digest")?,
-            report_json: json::want_str(&obj, "report")?,
+            job: want_str(&obj, "job")?,
+            digest: want_str(&obj, "digest")?,
+            report_json: want_str(&obj, "report")?,
         })
     }
 }
@@ -260,20 +308,20 @@ impl StatsReply {
     ///
     /// Returns [`DcfbError::Protocol`] for malformed JSON.
     pub fn from_json(text: &str) -> Result<Self, DcfbError> {
-        let obj = json::parse_object(text)?;
+        let obj = parse_object(text)?;
         Ok(StatsReply {
-            requests: json::opt_u64(&obj, "serve_requests"),
-            cache_hits: json::opt_u64(&obj, "serve_cache_hits"),
-            coalesced: json::opt_u64(&obj, "serve_coalesced"),
-            evictions: json::opt_u64(&obj, "serve_evictions"),
-            executed: json::opt_u64(&obj, "executed"),
-            cache_bytes: json::opt_u64(&obj, "cache_bytes"),
-            cache_entries: json::opt_u64(&obj, "cache_entries"),
-            queued: json::opt_u64(&obj, "queued"),
-            running: json::opt_u64(&obj, "running"),
-            done: json::opt_u64(&obj, "done"),
-            failed: json::opt_u64(&obj, "failed"),
-            workers: json::opt_u64(&obj, "workers"),
+            requests: opt_u64(&obj, "serve_requests"),
+            cache_hits: opt_u64(&obj, "serve_cache_hits"),
+            coalesced: opt_u64(&obj, "serve_coalesced"),
+            evictions: opt_u64(&obj, "serve_evictions"),
+            executed: opt_u64(&obj, "executed"),
+            cache_bytes: opt_u64(&obj, "cache_bytes"),
+            cache_entries: opt_u64(&obj, "cache_entries"),
+            queued: opt_u64(&obj, "queued"),
+            running: opt_u64(&obj, "running"),
+            done: opt_u64(&obj, "done"),
+            failed: opt_u64(&obj, "failed"),
+            workers: opt_u64(&obj, "workers"),
         })
     }
 }
@@ -324,6 +372,42 @@ mod tests {
             JobSpec::from_json(r#"{"workload": "x"}"#),
             Err(DcfbError::Protocol { .. })
         ));
+    }
+
+    #[test]
+    fn missing_required_fields_are_protocol_errors() {
+        let obj = parse_object(r#"{"n": 3}"#).unwrap();
+        assert!(matches!(
+            want_str(&obj, "name"),
+            Err(DcfbError::Protocol { .. })
+        ));
+        assert!(matches!(
+            want_u64(&obj, "count"),
+            Err(DcfbError::Protocol { .. })
+        ));
+        assert_eq!(opt_u64(&obj, "count"), 0);
+        assert_eq!(opt_str(&obj, "name"), None);
+        assert!(!opt_bool(&obj, "missing"));
+    }
+
+    #[test]
+    fn field_helpers_reject_mistyped_numbers_and_keep_the_last_duplicate() {
+        let obj = parse_object(
+            r#"{"neg": -3, "big": 18446744073709551616, "frac": 2.5, "s": "first", "s": "last"}"#,
+        )
+        .unwrap();
+        for key in ["neg", "big", "frac"] {
+            assert!(
+                matches!(want_u64(&obj, key), Err(DcfbError::Protocol { .. })),
+                "{key}"
+            );
+        }
+        assert_eq!(want_str(&obj, "s").unwrap(), "last");
+        // Syntax errors are protocol errors that name the byte offset.
+        let err = parse_object("{\"a\": }").unwrap_err();
+        assert!(matches!(err, DcfbError::Protocol { .. }));
+        assert!(err.to_string().contains("bad JSON at byte 6"), "{err}");
+        assert!(parse_object("[1]").is_err());
     }
 
     #[test]

@@ -33,8 +33,8 @@
 use crate::state::{JobEntry, ServerState};
 use dcfb_bench::supervisor::{JobEnvelope, Supervisor, SupervisorOptions};
 use dcfb_bench::sweep;
+use dcfb_errors::json::ObjectWriter;
 use dcfb_errors::DcfbError;
-use dcfb_sdk::json::ObjectWriter;
 use dcfb_sdk::wire::{JobSpec, JobState};
 use dcfb_sim::{RunControl, SimConfig, SimReport, Simulator};
 use dcfb_telemetry::{CounterSet, Ctr};

@@ -12,9 +12,9 @@
 
 use crate::cache::ResultCache;
 use dcfb_bench::checkpoint::Checkpoint;
+use dcfb_errors::json::ObjectWriter;
 use dcfb_errors::DcfbError;
-use dcfb_sdk::json::{self, ObjectWriter};
-use dcfb_sdk::wire::{JobSpec, JobState};
+use dcfb_sdk::wire::{self, JobSpec, JobState};
 use dcfb_sim::machine::RunControl;
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
@@ -148,19 +148,19 @@ impl ServerState {
             };
             // A record that fails to parse is dropped, like the lenient
             // reader drops a torn tail entry.
-            let Ok(record) = json::parse_object(value) else {
+            let Ok(record) = wire::parse_object(value) else {
                 continue;
             };
             let Ok(spec) = JobSpec::from_object(&record) else {
                 continue;
             };
             let id = spec.digest();
-            let recorded = json::opt_str(&record, "state").unwrap_or_default();
+            let recorded = wire::opt_str(&record, "state").unwrap_or_default();
             let mut entry = JobEntry::queued(spec);
             match JobState::parse(&recorded) {
                 Ok(JobState::Done) => {
-                    let result = json::opt_str(&record, "result");
-                    let digest = json::opt_str(&record, "digest");
+                    let result = wire::opt_str(&record, "result");
+                    let digest = wire::opt_str(&record, "digest");
                     if let (Some(result), Some(digest)) = (result, digest) {
                         entry.state = JobState::Done;
                         state.cache.insert(&id, result, digest, None);
@@ -172,7 +172,7 @@ impl ServerState {
                 Ok(JobState::Failed) => {
                     entry.state = JobState::Failed;
                     entry.error = Some(
-                        json::opt_str(&record, "error")
+                        wire::opt_str(&record, "error")
                             .unwrap_or_else(|| "unrecorded failure".to_owned()),
                     );
                 }

@@ -11,6 +11,8 @@ use dcfb_serve::server::JobRunner;
 use dcfb_serve::{ServeOptions, Server};
 use dcfb_sim::{SimConfig, SimReport, Simulator};
 use dcfb_workloads::Walker;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -222,6 +224,40 @@ fn bad_submissions_are_rejected_at_the_door() {
     assert!(err.to_string().contains("404"), "{err}");
 
     assert_eq!(server.executed(), 0);
+    client.shutdown().expect("shutdown");
+    server.wait();
+}
+
+#[test]
+fn deeply_nested_body_is_a_protocol_error_and_the_server_survives() {
+    let mut server = Server::spawn(ServeOptions::default()).expect("server binds");
+    let client = Client::new(server.local_addr().to_string());
+
+    // Exactly the 1 MiB body cap: one object opening a million arrays.
+    let prefix = "{\"workload\":";
+    let body = format!("{prefix}{}", "[".repeat((1 << 20) - prefix.len()));
+    assert_eq!(body.len(), 1 << 20);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connects");
+    write!(
+        stream,
+        "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("request sent");
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("reply read");
+    assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+    assert!(reply.contains("protocol error"), "{reply}");
+    assert!(reply.contains("nesting deeper than 128"), "{reply}");
+
+    // The connection thread returned an error instead of overflowing
+    // its stack: the server still answers and still runs jobs.
+    client
+        .health()
+        .expect("health answers after the hostile body");
+    let submitted = client.submit(&tiny_spec()).expect("submission accepted");
+    client.wait(&submitted.job).expect("job completes");
+    assert_eq!(server.executed(), 1);
     client.shutdown().expect("shutdown");
     server.wait();
 }

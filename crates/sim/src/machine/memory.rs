@@ -142,7 +142,6 @@ impl Machine {
                 was_prefetched: false,
             };
         }
-        self.stats_note_demand(block);
         if let Some(t) = self.telem.as_deref_mut() {
             t.add(Ctr::DemandAccesses, 1);
         }
@@ -181,7 +180,7 @@ impl Machine {
                 };
             }
         }
-        self.classify_miss(block, false);
+        self.classify_miss(block);
         if let Some(t) = self.telem.as_deref_mut() {
             t.add(Ctr::DemandMisses, 1);
             t.pf_demand_miss(block);
@@ -227,9 +226,7 @@ impl Machine {
         }
     }
 
-    fn stats_note_demand(&mut self, _block: Block) {}
-
-    fn classify_miss(&mut self, block: Block, _buffer_hit: bool) {
+    fn classify_miss(&mut self, block: Block) {
         let ctr = match self.prev_demand_block {
             Some(prev) if block == prev + 1 => {
                 self.stats.seq_misses += 1;

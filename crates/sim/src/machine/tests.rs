@@ -330,7 +330,7 @@ fn telemetry_classifies_every_issued_prefetch() {
     assert_eq!(series_instrs, r.instrs, "windows must partition the run");
     // Trace export is valid JSON.
     let trace = report.chrome_trace();
-    dcfb_telemetry::JsonValue::parse(&trace).expect("valid Chrome trace JSON");
+    dcfb_errors::json::JsonValue::parse(&trace).expect("valid Chrome trace JSON");
 }
 
 #[test]

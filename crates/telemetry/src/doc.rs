@@ -7,7 +7,7 @@
 //! structural invariants, most importantly that every timeliness row
 //! satisfies `accurate + late + early_evicted + useless == issued`.
 
-use crate::json::{write_escaped, JsonValue};
+use dcfb_errors::json::{write_escaped, JsonValue};
 
 /// Current metrics document schema identifier.
 pub const METRICS_SCHEMA: &str = "dcfb-metrics-v1";
@@ -162,7 +162,7 @@ impl MetricsDoc {
     /// A descriptive message on malformed JSON, a missing field, or a
     /// schema identifier this version does not understand.
     pub fn from_json(text: &str) -> Result<MetricsDoc, String> {
-        let v = JsonValue::parse(text)?;
+        let v = JsonValue::parse(text).map_err(|e| format!("bad JSON {e}"))?;
         let schema = req_str(&v, "schema")?;
         if schema != METRICS_SCHEMA {
             return Err(format!(

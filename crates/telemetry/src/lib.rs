@@ -32,7 +32,6 @@
 pub mod counters;
 pub mod doc;
 pub mod hist;
-pub mod json;
 pub mod series;
 pub mod sink;
 pub mod source;
@@ -44,7 +43,6 @@ mod recorder;
 pub use counters::{CounterSet, Ctr};
 pub use doc::{HistDump, MetricsDoc, TimelinessRow, METRICS_SCHEMA, SERIES_COLUMNS};
 pub use hist::{Hist, HistSet, Log2Histogram};
-pub use json::JsonValue;
 pub use recorder::{CycleSample, RunMeta, RunTelemetry, TelemetryConfig, TelemetryReport};
 pub use series::{WindowSample, WindowSeries};
 pub use sink::{NullSink, Sink, StallKind};

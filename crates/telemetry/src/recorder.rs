@@ -571,6 +571,6 @@ mod tests {
         assert_eq!(report.doc.counter("trace_events_dropped"), Some(3));
         // Trace is still valid JSON with sorted timestamps.
         let text = report.chrome_trace();
-        crate::json::JsonValue::parse(&text).expect("valid trace JSON");
+        dcfb_errors::json::JsonValue::parse(&text).expect("valid trace JSON");
     }
 }

@@ -5,6 +5,8 @@
 //! (`"X"`) events a `dur`. Timestamps are *simulated cycles* mapped
 //! 1:1 to trace microseconds, which viewers render fine.
 
+use dcfb_errors::json::write_escaped;
+
 /// One trace event. `ph` is `'X'` (complete span) or `'C'` (counter).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceEvent {
@@ -62,9 +64,9 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"name\":\"");
-        out.push_str(e.name);
-        out.push_str("\",\"ph\":\"");
+        out.push_str("{\"name\":");
+        write_escaped(&mut out, e.name);
+        out.push_str(",\"ph\":\"");
         out.push(e.ph);
         out.push_str("\",\"ts\":");
         out.push_str(&e.ts.to_string());
@@ -79,9 +81,8 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             if j > 0 {
                 out.push(',');
             }
-            out.push('"');
-            out.push_str(k);
-            out.push_str("\":");
+            write_escaped(&mut out, k);
+            out.push(':');
             out.push_str(&v.to_string());
         }
         out.push_str("}}");
@@ -94,7 +95,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use crate::json::JsonValue;
+    use dcfb_errors::json::JsonValue;
 
     #[test]
     fn output_is_valid_json_with_monotone_timestamps() {
